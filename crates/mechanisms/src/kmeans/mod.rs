@@ -7,6 +7,24 @@
 //! diameter); under Blowfish policies it shrinks to the largest secret
 //! edge length (Lemma 6.1), which is where the accuracy gains of Figure 1
 //! come from.
+//!
+//! Both queries, and the k-means objective, come from one kernel, the
+//! crate-private `LloydPass`:
+//!
+//! - **One pass per iteration.** A single walk over the point set's
+//!   row-major coordinates finds each point's nearest centroid and adds the
+//!   point to that cluster's count and sum; no label vector is built.
+//!   [`PrivateKmeans::run`], [`lloyd_kmeans`] and [`objective`] all use it,
+//!   with flat `k×dim` buffers allocated once per run.
+//! - **A fixed summation order, so results are bit-identical.** Squared
+//!   distances are summed in coordinate order, ties go to the lowest
+//!   centroid index (strict `<`), and cluster sums and the objective
+//!   accumulate in point order. The compile-time-dim and run-time-dim
+//!   instances of the kernel do the same operations in the same order, so
+//!   same inputs and seed give the same centroid bits either way.
+//! - **No threads.** The pass runs on the caller's thread; a release is
+//!   already one of many that the serving stack schedules, so spawning
+//!   workers per iteration would only add overhead.
 
 pub mod lloyd;
 pub mod private;
@@ -20,62 +38,108 @@ use bf_domain::PointSet;
 use rand::seq::index::sample;
 use rand::Rng;
 
-/// Index of the nearest centroid to a point (L2).
-pub fn nearest_centroid(point: &[f64], centroids: &[Vec<f64>]) -> usize {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (j, c) in centroids.iter().enumerate() {
-        let d = PointSet::sq_l2(point, c);
-        if d < best_d {
-            best_d = d;
-            best = j;
-        }
-    }
-    best
+/// Per-cluster point counts and coordinate sums of one Lloyd pass, in flat
+/// buffers that a run allocates once and refills every iteration.
+#[derive(Debug)]
+pub(crate) struct LloydPass {
+    dim: usize,
+    counts: Vec<usize>,
+    /// Row-major `k×dim` coordinate sums.
+    sums: Vec<f64>,
 }
 
-/// Points below which parallel assignment is not worth the scoped-pool
-/// spawn overhead.
-const PAR_ASSIGN_MIN_POINTS: usize = 4096;
-
-/// Assigns every point to its nearest centroid. Large point sets are
-/// split into chunks assigned in parallel across the available cores
-/// (the Lloyd assignment step is the `O(n·k·d)` bulk of each private and
-/// non-private iteration); the result is identical to the sequential
-/// pass since assignment is pure per-point arithmetic.
-pub fn assign(points: &PointSet, centroids: &[Vec<f64>]) -> Vec<usize> {
-    let n = points.len();
-    let workers = rayon::current_num_threads();
-    if n < PAR_ASSIGN_MIN_POINTS || workers <= 1 {
-        return points
-            .iter()
-            .map(|p| nearest_centroid(p, centroids))
-            .collect();
+impl LloydPass {
+    /// Buffers for `k` clusters of `dim`-dimensional points.
+    pub(crate) fn new(k: usize, dim: usize) -> Self {
+        Self {
+            dim,
+            counts: vec![0; k],
+            sums: vec![0.0; k * dim],
+        }
     }
-    // 4 chunks per worker keeps stragglers short without paying per-point
-    // scheduling overhead.
-    let chunk = n.div_ceil(workers * 4).max(1);
-    let ranges: Vec<(usize, usize)> = (0..n)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(n)))
-        .collect();
-    rayon::par_map(&ranges, |&(lo, hi)| {
-        (lo..hi)
-            .map(|i| nearest_centroid(points.point(i), centroids))
-            .collect::<Vec<usize>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+
+    /// Assigns every point to its nearest of the row-major `k×dim`
+    /// `centroids` and accumulates each cluster's count and coordinate sum.
+    /// Returns the k-means objective of `centroids`.
+    ///
+    /// Dims 1–3 (the paper's line, twitter and skin data) run the kernel
+    /// with a compile-time trip count; other dims run the same body with
+    /// the dim read at run time.
+    pub(crate) fn run(&mut self, points: &PointSet, centroids: &[f64]) -> f64 {
+        assert_eq!(points.dim(), self.dim, "point dimensionality mismatch");
+        assert_eq!(
+            centroids.len(),
+            self.sums.len(),
+            "need k centroids of the points' dimensionality"
+        );
+        self.counts.fill(0);
+        self.sums.fill(0.0);
+        let (counts, sums) = (&mut self.counts[..], &mut self.sums[..]);
+        match self.dim {
+            1 => lloyd_pass::<1>(points, 1, centroids, counts, sums),
+            2 => lloyd_pass::<2>(points, 2, centroids, counts, sums),
+            3 => lloyd_pass::<3>(points, 3, centroids, counts, sums),
+            dim => lloyd_pass::<0>(points, dim, centroids, counts, sums),
+        }
+    }
+
+    /// Number of points assigned to cluster `j`.
+    pub(crate) fn count(&self, j: usize) -> usize {
+        self.counts[j]
+    }
+
+    /// Coordinate sums of the points assigned to cluster `j`.
+    pub(crate) fn sum(&self, j: usize) -> &[f64] {
+        &self.sums[j * self.dim..(j + 1) * self.dim]
+    }
+}
+
+/// The Lloyd kernel: for each point in order, the nearest centroid is the
+/// lowest index `j` whose squared L2 distance (summed in coordinate order)
+/// is strictly below every earlier one; the point is added to cluster `j`'s
+/// count and sum, and its distance to the running objective. `D` is the
+/// dimension when it is known at compile time, `0` to use `dim`.
+#[inline(always)]
+fn lloyd_pass<const D: usize>(
+    points: &PointSet,
+    dim: usize,
+    centroids: &[f64],
+    counts: &mut [usize],
+    sums: &mut [f64],
+) -> f64 {
+    let dim = if D == 0 { dim } else { D };
+    let mut cost = 0.0;
+    for p in points.iter() {
+        let p = &p[..dim];
+        let mut best = 0;
+        let mut best_d = f64::INFINITY;
+        for (j, c) in centroids.chunks_exact(dim).enumerate() {
+            let mut d = 0.0;
+            for (x, y) in p.iter().zip(c) {
+                d += (x - y) * (x - y);
+            }
+            let closer = d < best_d;
+            best_d = if closer { d } else { best_d };
+            best = if closer { j } else { best };
+        }
+        counts[best] += 1;
+        for (s, x) in sums[best * dim..(best + 1) * dim].iter_mut().zip(p) {
+            *s += x;
+        }
+        cost += best_d;
+    }
+    cost
+}
+
+/// Row-major `k×dim` centroids back to one `Vec` per centroid.
+fn split_rows(flat: &[f64], dim: usize) -> Vec<Vec<f64>> {
+    flat.chunks_exact(dim).map(<[f64]>::to_vec).collect()
 }
 
 /// The k-means objective (Definition 6.1): total squared L2 distance from
 /// each point to its nearest centroid.
 pub fn objective(points: &PointSet, centroids: &[Vec<f64>]) -> f64 {
-    points
-        .iter()
-        .map(|p| PointSet::sq_l2(p, &centroids[nearest_centroid(p, centroids)]))
-        .sum()
+    LloydPass::new(centroids.len(), points.dim()).run(points, &centroids.concat())
 }
 
 /// Samples `k` distinct data points as initial centroids (the common
@@ -110,11 +174,18 @@ mod tests {
     }
 
     #[test]
-    fn nearest_and_assign() {
+    fn pass_assigns_counts_and_sums() {
         let pts = square_points();
-        let cents = vec![vec![1.0, 1.5], vec![9.0, 8.5]];
-        assert_eq!(assign(&pts, &cents), vec![0, 0, 1, 1]);
-        assert_eq!(nearest_centroid(&[0.0, 0.0], &cents), 0);
+        let mut pass = LloydPass::new(2, 2);
+        let cost = pass.run(&pts, &[1.0, 1.5, 9.0, 8.5]);
+        assert_eq!((pass.count(0), pass.count(1)), (2, 2));
+        assert_eq!(pass.sum(0), &[2.0, 3.0]);
+        assert_eq!(pass.sum(1), &[18.0, 17.0]);
+        assert!((cost - 1.0).abs() < 1e-12);
+        // Refilling reuses the buffers; a tie goes to the lower index.
+        pass.run(&pts, &[5.0, 5.0, 5.0, 5.0]);
+        assert_eq!((pass.count(0), pass.count(1)), (4, 0));
+        assert_eq!(pass.sum(1), &[0.0, 0.0]);
     }
 
     #[test]
@@ -123,21 +194,6 @@ mod tests {
         let cents = vec![vec![1.0, 1.5], vec![9.0, 8.5]];
         // Each point is 0.5 away in one coordinate: 4 * 0.25.
         assert!((objective(&pts, &cents) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_assignment_matches_sequential() {
-        // Past the parallel threshold, the chunked assignment must be
-        // bit-identical to the sequential map.
-        let n = PAR_ASSIGN_MIN_POINTS + 513;
-        let bbox = BoundingBox::new(vec![0.0, 0.0], vec![100.0, 100.0]);
-        let pts: Vec<Vec<f64>> = (0..n)
-            .map(|i| vec![(i % 100) as f64, ((i * 7) % 100) as f64])
-            .collect();
-        let points = PointSet::new(pts, bbox);
-        let cents = vec![vec![10.0, 10.0], vec![50.0, 50.0], vec![90.0, 20.0]];
-        let expect: Vec<usize> = points.iter().map(|p| nearest_centroid(p, &cents)).collect();
-        assert_eq!(assign(&points, &cents), expect);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! policy via [`KmeansSecretSpec`].
 
 use super::sensitivity::KmeansSecretSpec;
-use super::{assign, objective};
+use super::{objective, split_rows, LloydPass};
 use bf_core::{sample_laplace, Epsilon};
 use bf_domain::PointSet;
 use rand::Rng;
@@ -78,36 +78,27 @@ impl PrivateKmeans {
             "need one initial centroid per cluster"
         );
         let dim = points.dim();
-        let bbox = points.bbox().clone();
+        let bbox = points.bbox();
         let per_query_eps = self.epsilon.value() / (2.0 * self.iterations as f64);
         let size_scale = self.spec.qsize_sensitivity() / per_query_eps;
-        let sum_scale = self.spec.qsum_sensitivity(&bbox) / per_query_eps;
+        let sum_scale = self.spec.qsum_sensitivity(bbox) / per_query_eps;
 
-        let mut centroids = initial.to_vec();
+        let mut centroids = initial.concat();
+        let mut pass = LloydPass::new(self.k, dim);
         for _ in 0..self.iterations {
-            let labels = assign(points, &centroids);
-            let mut sums = vec![vec![0.0; dim]; self.k];
-            let mut counts = vec![0.0f64; self.k];
-            for (p, &j) in points.iter().zip(&labels) {
-                counts[j] += 1.0;
-                for (s, &v) in sums[j].iter_mut().zip(p) {
-                    *s += v;
-                }
-            }
-            for j in 0..self.k {
-                let noisy_count = counts[j] + sample_laplace(rng, size_scale);
+            pass.run(points, &centroids);
+            for (j, c) in centroids.chunks_exact_mut(dim).enumerate() {
+                let noisy_count = pass.count(j) as f64 + sample_laplace(rng, size_scale);
                 if noisy_count < 1.0 {
                     continue; // keep the previous centroid
                 }
-                let mut new_c = Vec::with_capacity(dim);
-                for s in &sums[j] {
-                    new_c.push((s + sample_laplace(rng, sum_scale)) / noisy_count);
+                for (c, s) in c.iter_mut().zip(pass.sum(j)) {
+                    *c = (s + sample_laplace(rng, sum_scale)) / noisy_count;
                 }
-                bbox.clamp(&mut new_c);
-                centroids[j] = new_c;
+                bbox.clamp(c);
             }
         }
-        centroids
+        split_rows(&centroids, dim)
     }
 
     /// Convenience: runs the mechanism and reports the objective ratio

@@ -858,7 +858,9 @@ impl Client {
     ///
     /// [`NetError::Remote`] when this connection never attached the
     /// analyst's session, when the serving process has no durable
-    /// store, or when the scan fails; transport errors otherwise.
+    /// store, when the scan fails, or with [`WireError::ReplyTooLarge`]
+    /// when the history does not fit in one frame; transport errors
+    /// otherwise.
     pub fn audit(&mut self, analyst: &str) -> Result<Vec<LedgerEntry>, NetError> {
         let id = self.fresh_id();
         self.send(&ClientMessage::BudgetAudit {

@@ -584,6 +584,40 @@ mod tests {
     }
 
     #[test]
+    fn oversize_audit_is_refused_with_the_frame_limit() {
+        // 6000 charges with 200-byte labels encode to an AuditReport of
+        // about 1.4 MiB, past the frame limit a client accepts.
+        let dir = bf_store::scratch_dir("net-oversize-audit");
+        let charge = 1.0 / 1024.0;
+        let label = "x".repeat(200);
+        let mut records = vec![bf_store::Record::session_opened("alice", 1e6)];
+        records.extend((0..6000).map(|_| bf_store::Record::charged("alice", &label, charge)));
+        bf_engine::Store::open(&dir)
+            .unwrap()
+            .commit(&records)
+            .unwrap();
+        let store = Arc::new(bf_engine::Store::open(&dir).unwrap());
+        assert_eq!(store.ledger_history("alice").unwrap().len(), 6000);
+        let engine = Arc::new(Engine::with_store(5, store));
+        let server = Arc::new(Server::with_defaults(engine));
+        let net = NetServer::bind("127.0.0.1:0", server, NetConfig::default()).unwrap();
+
+        let mut client = Client::connect(net.local_addr()).unwrap();
+        client.open_session("alice", 1e6).unwrap();
+        match client.audit("alice") {
+            Err(NetError::Remote(WireError::ReplyTooLarge { bytes, limit })) => {
+                assert_eq!(limit, u64::from(bf_store::MAX_RECORD_LEN));
+                assert!(bytes > limit, "{bytes} bytes should exceed {limit}");
+            }
+            other => panic!("expected a ReplyTooLarge refusal, got {other:?}"),
+        }
+        // A refusal, not a protocol error: the connection keeps serving.
+        assert_eq!(client.budget("alice").unwrap().spent, 6000.0 * charge);
+        net.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn session_tokens_gate_submit_and_audit_on_v4_connections() {
         let dir = bf_store::scratch_dir("net-tokens");
         let store = Arc::new(bf_engine::Store::open(&dir).unwrap());

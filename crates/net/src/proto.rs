@@ -17,7 +17,9 @@
 //! anything but a well-formed message kills the connection — framing
 //! damage is never "wait for more bytes", and a flipped byte is never
 //! misparsed as a different message (the corruption sweep in the tests
-//! pins this).
+//! pins this). The server never sends such a frame: a reply whose
+//! payload would exceed the limit goes out as [`ServerMessage::Refused`]
+//! with [`WireError::ReplyTooLarge`] instead.
 //!
 //! ## Message catalog
 //!
@@ -480,6 +482,16 @@ pub enum WireError {
         /// the follower may keep).
         leader_high_water: u64,
     },
+    /// The reply would not fit in one frame: its encoding is longer than
+    /// the [`bf_store::MAX_RECORD_LEN`] a peer accepts, typically the
+    /// audit of an analyst with tens of thousands of charges. Nothing
+    /// else about the connection or the session changed.
+    ReplyTooLarge {
+        /// Encoded length of the reply that was not sent.
+        bytes: u64,
+        /// The frame payload limit.
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -551,6 +563,10 @@ impl std::fmt::Display for WireError {
                      and resubscribe"
                 )
             }
+            WireError::ReplyTooLarge { bytes, limit } => write!(
+                f,
+                "reply of {bytes} bytes exceeds the {limit}-byte frame limit"
+            ),
         }
     }
 }
@@ -1234,6 +1250,7 @@ const ERR_DEADLINE_EXCEEDED: u8 = 15;
 const ERR_NOT_LEADER: u8 = 16;
 const ERR_STALE_REPLICA: u8 = 17;
 const ERR_LOG_DIVERGED: u8 = 18;
+const ERR_REPLY_TOO_LARGE: u8 = 19;
 
 const LOG_OP_OPEN_SESSION: u8 = 1;
 const LOG_OP_SUBMIT: u8 = 2;
@@ -1631,6 +1648,11 @@ fn encode_error(out: &mut Vec<u8>, e: &WireError) {
             out.push(ERR_LOG_DIVERGED);
             put_u64(out, *leader_high_water);
         }
+        WireError::ReplyTooLarge { bytes, limit } => {
+            out.push(ERR_REPLY_TOO_LARGE);
+            put_u64(out, *bytes);
+            put_u64(out, *limit);
+        }
     }
 }
 
@@ -1671,6 +1693,10 @@ fn decode_error(r: &mut Reader<'_>) -> Option<WireError> {
         },
         ERR_LOG_DIVERGED => WireError::LogDiverged {
             leader_high_water: r.u64()?,
+        },
+        ERR_REPLY_TOO_LARGE => WireError::ReplyTooLarge {
+            bytes: r.u64()?,
+            limit: r.u64()?,
         },
         _ => return None,
     })
@@ -2477,7 +2503,7 @@ mod tests {
     }
 
     fn arb_error(rng: &mut StdRng) -> WireError {
-        match rng.random_range(0..18u32) {
+        match rng.random_range(0..19u32) {
             0 => WireError::QueueFull {
                 analyst: arb_string(rng),
                 capacity: rng.random(),
@@ -2518,6 +2544,10 @@ mod tests {
             },
             16 => WireError::LogDiverged {
                 leader_high_water: rng.random(),
+            },
+            17 => WireError::ReplyTooLarge {
+                bytes: rng.random(),
+                limit: rng.random(),
             },
             _ => WireError::Other(arb_string(rng)),
         }

@@ -1399,6 +1399,20 @@ impl<'a> Connection<'a> {
     }
 
     fn write_message(&mut self, msg: &ServerMessage) -> std::io::Result<()> {
+        let mut payload = msg.encode_for(self.negotiated);
+        if payload.len() > bf_store::MAX_RECORD_LEN as usize {
+            // The client would reject a longer frame as corrupt and drop
+            // the connection; refuse this one request instead.
+            payload = ServerMessage::Refused {
+                id: msg.id(),
+                error: WireError::ReplyTooLarge {
+                    bytes: payload.len() as u64,
+                    limit: u64::from(bf_store::MAX_RECORD_LEN),
+                },
+                trace_id: None,
+            }
+            .encode_for(self.negotiated);
+        }
         // The chaos plan's op clock ticks once per **answer** frame, so a
         // scripted schedule addresses "the 3rd answer" no matter how many
         // handshake or stats frames interleave.
@@ -1418,7 +1432,7 @@ impl<'a> Connection<'a> {
                             ));
                         }
                         bf_chaos::NetFault::TruncateReply => {
-                            let framed = frame_bytes(&msg.encode_for(self.negotiated));
+                            let framed = frame_bytes(&payload);
                             self.counters.frames_out.inc();
                             let _ = self.stream.write_all(&framed[..framed.len() / 2]);
                             let _ = self.stream.shutdown(std::net::Shutdown::Both);
@@ -1435,7 +1449,6 @@ impl<'a> Connection<'a> {
             }
         }
         self.counters.frames_out.inc();
-        self.stream
-            .write_all(&frame_bytes(&msg.encode_for(self.negotiated)))
+        self.stream.write_all(&frame_bytes(&payload))
     }
 }

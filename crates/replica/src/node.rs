@@ -40,7 +40,8 @@ use std::time::{Duration, Instant};
 
 /// How long blocked threads sleep before re-checking shutdown flags.
 const POLL: Duration = Duration::from_millis(2);
-/// Condvar wait granularity for the applier and [`Replica::promote`].
+/// Condvar wait granularity for the applier, the idle follower thread and
+/// [`Replica::promote`]; also the follower's back-off after a failed dial.
 const WAIT: Duration = Duration::from_millis(25);
 /// Max log entries per [`ServerMessage::Replicate`] frame.
 const BATCH: usize = 64;
@@ -984,22 +985,23 @@ impl Node {
     // -----------------------------------------------------------------
 
     fn follower_loop(self: &Arc<Node>) {
-        while !self.closing.load(Ordering::SeqCst) {
-            if self.dead.load(Ordering::SeqCst) {
-                std::thread::sleep(WAIT);
-                continue;
-            }
+        loop {
             let (target, generation) = {
-                let st = self.state.lock().unwrap();
-                if st.role != Role::Follower {
-                    (None, st.generation)
-                } else {
-                    (st.follow_target, st.generation)
+                let mut st = self.state.lock().unwrap();
+                loop {
+                    if self.closing.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let following = st.role == Role::Follower && !self.dead.load(Ordering::SeqCst);
+                    if let (true, Some(target)) = (following, st.follow_target) {
+                        break (target, st.generation);
+                    }
+                    // Nothing to follow: `Replica::follow` sets the target
+                    // under this lock and notifies, which wakes us at once.
+                    // The timeout only bounds a shutdown notified without
+                    // the lock.
+                    st = self.cv.wait_timeout(st, WAIT).unwrap().0;
                 }
-            };
-            let Some(target) = target else {
-                std::thread::sleep(WAIT);
-                continue;
             };
             if self.follow_once(target, generation).is_none() {
                 // Connection failed or was refused: back off briefly so

@@ -19,6 +19,8 @@
 //! replayed ledger reproduces the in-memory floating-point state
 //! **exactly** — same bits, same sums, same refusal decisions.
 
+use std::io::Read;
+
 /// Maximum payload size the decoder will believe. Real records are tens
 /// of bytes; a length beyond this is a corrupt frame, not a huge record,
 /// and replay must stop rather than attempt a gigabyte allocation.
@@ -532,36 +534,12 @@ pub enum ScanEnd {
 /// Walks the framed records in `bytes`, calling `apply` for each intact
 /// record in order, and reports how the scan ended plus the byte offset
 /// of the first non-applied frame.
-pub fn scan_frames(bytes: &[u8], mut apply: impl FnMut(Record)) -> (ScanEnd, usize) {
-    let mut pos = 0usize;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            return (ScanEnd::Clean, pos);
-        }
-        if remaining < FRAME_HEADER_LEN {
-            return (ScanEnd::TornTail, pos);
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        if len > MAX_RECORD_LEN {
-            return (ScanEnd::Corrupt, pos);
-        }
-        let checksum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        let start = pos + FRAME_HEADER_LEN;
-        let end = start + len as usize;
-        if end > bytes.len() {
-            return (ScanEnd::TornTail, pos);
-        }
-        let payload = &bytes[start..end];
-        if fnv1a(payload) != checksum {
-            return (ScanEnd::Corrupt, pos);
-        }
-        let Some(record) = Record::decode(payload) else {
-            return (ScanEnd::Corrupt, pos);
-        };
-        apply(record);
-        pos = end;
-    }
+pub fn scan_frames(bytes: &[u8], apply: impl FnMut(Record)) -> (ScanEnd, usize) {
+    let mut scanner = FrameScanner::new(bytes);
+    let end = scanner
+        .scan(apply)
+        .expect("reading a byte slice cannot fail");
+    (end, scanner.offset())
 }
 
 /// Whether any byte offset in `bytes[from..]` starts an intact frame
@@ -575,21 +553,132 @@ pub fn scan_frames(bytes: &[u8], mut apply: impl FnMut(Record)) -> (ScanEnd, usi
 /// (A genuine crash tear has only never-synced garbage after it; a
 /// false positive here costs an operator intervention, never ε.)
 pub fn has_intact_frame_after(bytes: &[u8], from: usize) -> bool {
-    let mut pos = from;
-    while pos + FRAME_HEADER_LEN <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        if len <= MAX_RECORD_LEN {
-            let start = pos + FRAME_HEADER_LEN;
-            if let Some(payload) = bytes.get(start..start + len as usize) {
-                let checksum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-                if fnv1a(payload) == checksum && Record::decode(payload).is_some() {
-                    return true;
+    FrameScanner::new(bytes.get(from..).unwrap_or_default())
+        .intact_frame_ahead()
+        .expect("reading a byte slice cannot fail")
+}
+
+/// Bytes requested from the source per read.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
+
+/// Scans a framed byte stream — a WAL segment file or bytes in memory —
+/// through a bounded buffer: it holds at most one maximum-size frame plus
+/// one read chunk, however long the stream is.
+pub(crate) struct FrameScanner<R> {
+    src: R,
+    buf: Vec<u8>,
+    /// Start of the unconsumed bytes in `buf`.
+    head: usize,
+    /// Stream offset of `buf[head]`.
+    offset: usize,
+    eof: bool,
+}
+
+impl<R: Read> FrameScanner<R> {
+    pub(crate) fn new(src: R) -> Self {
+        Self {
+            src,
+            buf: Vec::new(),
+            head: 0,
+            offset: 0,
+            eof: false,
+        }
+    }
+
+    /// Stream offset of the first byte not yet consumed: after
+    /// [`FrameScanner::scan`], the start of the frame it stopped on.
+    pub(crate) fn offset(&self) -> usize {
+        self.offset
+    }
+
+    /// Reads until at least `n` unconsumed bytes are buffered or the
+    /// stream ends; returns how many are buffered.
+    fn fill(&mut self, n: usize) -> std::io::Result<usize> {
+        let buffered = self.buf.len() - self.head;
+        if buffered < n && !self.eof {
+            self.buf.drain(..self.head);
+            self.head = 0;
+            // `read_to_end` on a `take` stops at the limit or at the end
+            // of the stream, whichever comes first.
+            let limit = READ_CHUNK.max(n - buffered);
+            let got = (&mut self.src)
+                .take(limit as u64)
+                .read_to_end(&mut self.buf)?;
+            self.eof = got < limit;
+        }
+        Ok(self.buf.len() - self.head)
+    }
+
+    /// The frame at the head: `Ok(len)` with its payload length when the
+    /// header is sane and the whole frame is buffered, `Err(end)` with how
+    /// the scan would end there otherwise.
+    fn frame_at_head(&mut self) -> std::io::Result<Result<usize, ScanEnd>> {
+        let available = self.fill(FRAME_HEADER_LEN)?;
+        if available == 0 {
+            return Ok(Err(ScanEnd::Clean));
+        }
+        if available < FRAME_HEADER_LEN {
+            return Ok(Err(ScanEnd::TornTail));
+        }
+        let header = &self.buf[self.head..self.head + FRAME_HEADER_LEN];
+        let len = u32::from_le_bytes(header[..4].try_into().unwrap());
+        if len > MAX_RECORD_LEN {
+            return Ok(Err(ScanEnd::Corrupt));
+        }
+        let len = len as usize;
+        if self.fill(FRAME_HEADER_LEN + len)? < FRAME_HEADER_LEN + len {
+            return Ok(Err(ScanEnd::TornTail));
+        }
+        Ok(Ok(len))
+    }
+
+    /// The head frame's record, if its checksum matches and it decodes.
+    fn record_at_head(&self, len: usize) -> Option<Record> {
+        let frame = &self.buf[self.head..self.head + FRAME_HEADER_LEN + len];
+        let checksum = u64::from_le_bytes(frame[4..FRAME_HEADER_LEN].try_into().unwrap());
+        let payload = &frame[FRAME_HEADER_LEN..];
+        (fnv1a(payload) == checksum)
+            .then(|| Record::decode(payload))
+            .flatten()
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.head += n;
+        self.offset += n;
+    }
+
+    /// Calls `apply` for each intact record in order and reports how the
+    /// scan ended; [`FrameScanner::offset`] is then the first frame not
+    /// applied.
+    pub(crate) fn scan(&mut self, mut apply: impl FnMut(Record)) -> std::io::Result<ScanEnd> {
+        loop {
+            let len = match self.frame_at_head()? {
+                Ok(len) => len,
+                Err(end) => return Ok(end),
+            };
+            let Some(record) = self.record_at_head(len) else {
+                return Ok(ScanEnd::Corrupt);
+            };
+            apply(record);
+            self.consume(FRAME_HEADER_LEN + len);
+        }
+    }
+
+    /// Whether any byte offset from the head on starts an intact frame
+    /// (see [`has_intact_frame_after`]). Consumes the stream.
+    pub(crate) fn intact_frame_ahead(&mut self) -> std::io::Result<bool> {
+        loop {
+            match self.frame_at_head()? {
+                Ok(len) if self.record_at_head(len).is_some() => return Ok(true),
+                Err(ScanEnd::Clean | ScanEnd::TornTail)
+                    if self.buf.len() - self.head < FRAME_HEADER_LEN =>
+                {
+                    return Ok(false)
                 }
+                _ => self.consume(1),
             }
         }
-        pos += 1;
     }
-    false
 }
 
 #[cfg(test)]
@@ -744,5 +833,42 @@ mod tests {
         huge[0..4].copy_from_slice(&(MAX_RECORD_LEN + 1).to_le_bytes());
         let (end, _) = scan_frames(&huge, |_| {});
         assert_eq!(end, ScanEnd::Corrupt);
+    }
+
+    /// Hands out at most 7 bytes per read, so frames straddle every read
+    /// boundary.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = out.len().min(7).min(self.0.len());
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn streamed_scan_matches_in_memory_scan_at_every_cut_and_flip() {
+        let bytes: Vec<u8> = samples().iter().flat_map(Record::frame).collect();
+        let mut inputs: Vec<Vec<u8>> = (0..=bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+        inputs.extend((0..bytes.len()).map(|i| {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 0x5A;
+            flipped
+        }));
+        for data in &inputs {
+            let mut whole = Vec::new();
+            let (end, offset) = scan_frames(data, |r| whole.push(r));
+            let mut streamed = Vec::new();
+            let mut scanner = FrameScanner::new(Trickle(data));
+            assert_eq!(scanner.scan(|r| streamed.push(r)).unwrap(), end);
+            assert_eq!(scanner.offset(), offset);
+            assert_eq!(streamed, whole);
+            assert_eq!(
+                scanner.intact_frame_ahead().unwrap(),
+                has_intact_frame_after(data, offset)
+            );
+        }
     }
 }

@@ -30,7 +30,7 @@
 //! ([`StoreStats::amortization`]).
 
 use crate::error::StoreError;
-use crate::record::{fnv1a, scan_frames, Record, ScanEnd};
+use crate::record::{fnv1a, FrameScanner, Record, ScanEnd};
 use crate::state::StoreState;
 use bf_obs::{Counter, Gauge, Histogram, Registry, Stage, TraceContext, TraceTimer};
 use std::collections::BTreeMap;
@@ -399,43 +399,15 @@ impl Store {
 
         let obs = Arc::new(Registry::new());
         let replay_started = Instant::now();
-        let replay: Vec<(u64, &PathBuf)> = segments.range(base..).map(|(&n, p)| (n, p)).collect();
-        for (n, path) in replay.iter() {
-            let bytes = std::fs::read(path).map_err(|e| StoreError::io("read segment", &e))?;
+        for (&n, path) in segments.range(base..) {
             let mut applied = 0u64;
-            let (end, offset) = scan_frames(&bytes, |r| {
+            let tail_skipped = scan_segment(n, path, |r| {
                 state.apply(&r);
                 applied += 1;
-            });
+            })?;
             report.segments_replayed += 1;
             report.records_applied += applied;
-            match end {
-                ScanEnd::Clean => {}
-                // A stop before the end of the bytes is either a crash
-                // tear (torn header/payload, or a checksum mismatch on
-                // never-synced garbage) — in which case nothing past it
-                // was ever acknowledged and skipping is sound — or
-                // damage *inside* durable history. The two are told
-                // apart by what follows: group commit fsyncs batch N
-                // before batch N+1 is written, so an **intact frame
-                // after the stop** proves the stopped-on region was once
-                // durable (a corrupted length field can even fabricate a
-                // fake "torn tail" that swallows acknowledged records).
-                // Skipping would silently drop acknowledged charges —
-                // refuse and make the operator decide.
-                ScanEnd::TornTail | ScanEnd::Corrupt => {
-                    if crate::record::has_intact_frame_after(&bytes, offset) {
-                        return Err(StoreError::CorruptSnapshot {
-                            path: path.display().to_string(),
-                            detail: format!(
-                                "damaged record at byte {offset} of segment {n:#x} \
-                                 with durable records after it"
-                            ),
-                        });
-                    }
-                    report.tail_skipped = true;
-                }
-            }
+            report.tail_skipped |= tail_skipped;
         }
 
         let replay_elapsed = replay_started.elapsed();
@@ -805,8 +777,11 @@ impl Store {
         let mut out = Vec::new();
         let mut seq = 0u64;
         for (n, path) in paths {
-            let bytes = std::fs::read(&path).map_err(|e| StoreError::io("read segment", &e))?;
-            let (end, offset) = scan_frames(&bytes, |r| {
+            // A torn tail was never acknowledged; the audit skips it and
+            // keeps scanning later segments exactly like recovery does —
+            // post-crash stores rotate to a fresh segment, and every
+            // durable charge booked there must still appear in the report.
+            scan_segment(n, &path, |r| {
                 match &r {
                     Record::Charged {
                         analyst: a,
@@ -829,24 +804,7 @@ impl Store {
                     _ => {}
                 }
                 seq += 1;
-            });
-            if !matches!(end, ScanEnd::Clean) {
-                if crate::record::has_intact_frame_after(&bytes, offset) {
-                    return Err(StoreError::CorruptSnapshot {
-                        path: path.display().to_string(),
-                        detail: format!(
-                            "damaged record at byte {offset} of segment {n:#x} \
-                             with durable records after it"
-                        ),
-                    });
-                }
-                // A torn tail was never acknowledged; the audit skips
-                // it and keeps scanning later segments exactly like
-                // recovery does — post-crash stores rotate to a fresh
-                // segment, and every durable charge booked there must
-                // still appear in the report.
-                continue;
-            }
+            })?;
         }
         Ok(out)
     }
@@ -863,6 +821,39 @@ impl Store {
             segment: g.segment,
         }
     }
+}
+
+/// Streams WAL segment `n` from disk, calling `apply` for each intact
+/// record in order, and returns whether a torn tail was skipped.
+///
+/// A stop before the end of the segment is either a crash tear (torn
+/// header/payload, or a checksum mismatch on never-synced garbage) — in
+/// which case nothing past it was ever acknowledged and skipping is
+/// sound — or damage *inside* durable history. The two are told apart by
+/// what follows: group commit fsyncs batch N before batch N+1 is
+/// written, so an **intact frame after the stop** proves the stopped-on
+/// region was once durable (a corrupted length field can even fabricate
+/// a fake "torn tail" that swallows acknowledged records). Skipping
+/// would silently drop acknowledged charges — refuse and make the
+/// operator decide.
+fn scan_segment(n: u64, path: &Path, apply: impl FnMut(Record)) -> Result<bool, StoreError> {
+    let read_err = |e: std::io::Error| StoreError::io("read segment", &e);
+    let file = File::open(path).map_err(read_err)?;
+    let mut scanner = FrameScanner::new(file);
+    if scanner.scan(apply).map_err(read_err)? == ScanEnd::Clean {
+        return Ok(false);
+    }
+    let offset = scanner.offset();
+    if scanner.intact_frame_ahead().map_err(read_err)? {
+        return Err(StoreError::CorruptSnapshot {
+            path: path.display().to_string(),
+            detail: format!(
+                "damaged record at byte {offset} of segment {n:#x} \
+                 with durable records after it"
+            ),
+        });
+    }
+    Ok(true)
 }
 
 fn load_snapshot(path: &Path, bytes: &[u8]) -> Result<StoreState, StoreError> {
@@ -884,7 +875,7 @@ fn load_snapshot(path: &Path, bytes: &[u8]) -> Result<StoreState, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{RegistryKind, FRAME_HEADER_LEN};
+    use crate::record::{scan_frames, RegistryKind, FRAME_HEADER_LEN};
     use crate::scratch_dir;
 
     #[test]
@@ -1433,6 +1424,36 @@ mod tests {
         let bytes = std::fs::read(&seg).unwrap();
         let mut flipped = bytes.clone();
         flipped[FRAME_HEADER_LEN] ^= 0xFF;
+        std::fs::write(&seg, &flipped).unwrap();
+        assert!(matches!(
+            store.ledger_history("a"),
+            Err(StoreError::CorruptSnapshot { .. })
+        ));
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ledger_history_streams_segments_longer_than_a_read() {
+        // ~300 KiB of charges: the scan crosses several read chunks.
+        let dir = scratch_dir("ledger-stream");
+        let label = "c".repeat(40);
+        let mut records = vec![Record::session_opened("a", 1e6)];
+        records.extend((0..4000).map(|_| Record::charged("a", &label, 0.5)));
+        let seg = segment_path(&dir, 0);
+        Store::open(&dir).unwrap().commit(&records).unwrap();
+        let bytes = std::fs::read(&seg).unwrap();
+        assert!(bytes.len() > 4 * crate::record::READ_CHUNK);
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.ledger_history("a").unwrap().len(), 4000);
+        // A torn last frame is skipped …
+        std::fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
+        assert_eq!(store.ledger_history("a").unwrap().len(), 3999);
+        // … but damage mid-segment, with intact frames after it, is
+        // refused.
+        let mut flipped = bytes;
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0xFF;
         std::fs::write(&seg, &flipped).unwrap();
         assert!(matches!(
             store.ledger_history("a"),
