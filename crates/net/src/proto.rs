@@ -1,4 +1,4 @@
-//! The versioned binary wire protocol.
+//! The binary wire protocol.
 //!
 //! ## Frame layout
 //!
@@ -33,15 +33,15 @@
 //! | C→S | [`ClientMessage::Stats`] | process-wide metrics snapshot (PR 6 introspection) |
 //! | C→S | [`ClientMessage::Traces`] | retained trace-tree exemplars (PR 8 distributed tracing) |
 //! | C→S | [`ClientMessage::BudgetAudit`] | an analyst's full ε-provenance ledger history (PR 8; connection must have attached the session) |
-//! | C→S | [`ClientMessage::LogCatchup`] | replica peer: follower subscribes to the replicated log from an index (v4) |
-//! | C→S | [`ClientMessage::ReplicateAck`] | replica peer: follower acknowledges an entry durable in its own WAL (v4) |
-//! | C→S | [`ClientMessage::PeerStatus`] | replica peer: read-only probe of a peer's durable log position (v4, pre-promotion check) |
-//! | C→S | [`ClientMessage::ClusterStats`] | federated scrape: the serving node fans stats probes to every peer (v5) |
-//! | C→S | [`ClientMessage::Health`] | one cheap health/SLO probe, load-balancer friendly (v5) |
-//! | C→S | [`ClientMessage::Watch`] | subscribe this connection to the node's live event bus (v5) |
+//! | C→S | [`ClientMessage::LogCatchup`] | replica peer: follower subscribes to the replicated log from an index |
+//! | C→S | [`ClientMessage::ReplicateAck`] | replica peer: follower acknowledges an entry durable in its own WAL |
+//! | C→S | [`ClientMessage::PeerStatus`] | replica peer: read-only probe of a peer's durable log position (pre-promotion check) |
+//! | C→S | [`ClientMessage::ClusterStats`] | federated scrape: the serving node fans stats probes to every peer |
+//! | C→S | [`ClientMessage::Health`] | one cheap health/SLO probe, load-balancer friendly |
+//! | C→S | [`ClientMessage::Watch`] | subscribe this connection to the node's live event bus |
 //! | C→S | [`ClientMessage::Goodbye`] | orderly close (the server drains in-flight work first) |
-//! | S→C | [`ServerMessage::Welcome`] | handshake accept, carries the **negotiated** version |
-//! | S→C | [`ServerMessage::SessionAttached`] | session opened/reattached, remaining ε + session token (v4) |
+//! | S→C | [`ServerMessage::Welcome`] | handshake accept, echoes [`PROTOCOL_VERSION`] |
+//! | S→C | [`ServerMessage::SessionAttached`] | session opened/reattached, remaining ε + session token |
 //! | S→C | [`ServerMessage::Answer`] | a submitted query's response (echoes the trace id, when traced) |
 //! | S→C | [`ServerMessage::BatchAnswer`] | per-slot responses for a batch |
 //! | S→C | [`ServerMessage::BudgetReport`] | ledger snapshot |
@@ -49,34 +49,25 @@
 //! | S→C | [`ServerMessage::TraceReport`] | the retained trace trees, one [`bf_obs::TraceTree`] each |
 //! | S→C | [`ServerMessage::AuditReport`] | the ledger history, one [`bf_store::LedgerEntry`] each |
 //! | S→C | [`ServerMessage::Refused`] | typed error for the correlated request (echoes the trace id) |
-//! | S→C | [`ServerMessage::Replicate`] | replica peer: leader streams log entries + its commit index (v4) |
-//! | S→C | [`ServerMessage::PeerStatusReport`] | replica peer: the probed peer's epoch and durable/applied log marks (v4) |
-//! | S→C | [`ServerMessage::ClusterStatsReport`] | the whole fleet's metrics, one replica-labeled [`WireReplicaStats`] per member (v5) |
-//! | S→C | [`ServerMessage::HealthReport`] | role, epoch, lag, WAL depth, queue depth, unreachable peers, firing SLOs (v5) |
-//! | S→C | [`ServerMessage::Event`] | one live event pushed to an open watch subscription (v5) |
+//! | S→C | [`ServerMessage::Replicate`] | replica peer: leader streams log entries + its commit index |
+//! | S→C | [`ServerMessage::PeerStatusReport`] | replica peer: the probed peer's epoch and durable/applied log marks |
+//! | S→C | [`ServerMessage::ClusterStatsReport`] | the whole fleet's metrics, one replica-labeled [`WireReplicaStats`] per member |
+//! | S→C | [`ServerMessage::HealthReport`] | role, epoch, lag, WAL depth, queue depth, unreachable peers, firing SLOs |
+//! | S→C | [`ServerMessage::Event`] | one live event pushed to an open watch subscription |
 //! | S→C | [`ServerMessage::Farewell`] | goodbye acknowledged, connection closing |
 //!
 //! Every message carries a client-assigned **correlation id**; replies
 //! echo it, so a client may pipeline any number of requests on one
 //! connection and match answers out of order.
 //!
-//! ## Version negotiation
+//! ## Version check
 //!
 //! The first frame on a connection is [`ClientMessage::Hello`] carrying
-//! the version the client speaks. The server accepts any version in
-//! `[`[`MIN_PROTOCOL_VERSION`]`, `[`PROTOCOL_VERSION`]`]` and echoes the
-//! **minimum of the two** in [`ServerMessage::Welcome`]; every later
-//! frame on the connection is encoded and decoded at that negotiated
-//! version ([`ClientMessage::encode_for`] /
-//! [`ClientMessage::decode_for`] and the server-side twins), which
-//! simply omits the fields the older version never defined. A v2 client
-//! therefore talks to a v5 replica unchanged — the rolling-upgrade
-//! path — while anything older than v2 (or newer than the server) is
-//! still refused outright. Frames a negotiated version never defined
-//! (the v4 peer frames, the v5 cluster plane) refuse to decode on that
-//! connection: an old client probing [`ClientMessage::ClusterStats`]
-//! or [`ClientMessage::Watch`] gets a clean
-//! [`WireError::Protocol`] refusal, never a misparse or a hang.
+//! the version the client speaks. Client and server ship together, so
+//! there is one wire format and no negotiation: the server answers
+//! [`ServerMessage::Welcome`] only when the version is exactly
+//! [`PROTOCOL_VERSION`], and refuses any other with
+//! [`WireError::Protocol`] before reading another frame.
 //!
 //! ε values travel as exact `f64` bit patterns (`_bits` fields), the
 //! same discipline the WAL uses — a budget decision made over the wire
@@ -102,37 +93,9 @@ use bf_mechanisms::kmeans::KmeansSecretSpec;
 use bf_obs::{Stage, TraceId, TraceSpan, TraceTree};
 use bf_store::{put_str, put_u64, LedgerEntry, Reader};
 
-/// Protocol version this build speaks. The handshake negotiates down to
-/// the older of the two sides (see the module docs) and refuses
-/// anything below [`MIN_PROTOCOL_VERSION`]. Version 2 added
-/// exactly-once retry support:
-/// [`ClientMessage::Submit`] carries an optional idempotency key
-/// (`request_id`) and an optional scheduling deadline, and
-/// [`WireError`] gained [`WireError::Overloaded`] /
-/// [`WireError::DeadlineExceeded`] for the server's graceful
-/// degradation under load. Version 3 added request-scoped distributed
-/// tracing ([`ClientMessage::Submit`] carries an optional
-/// client-assigned trace id, [`ServerMessage::Answer`] /
-/// [`ServerMessage::Refused`] echo it, and
-/// [`ClientMessage::Traces`] / [`ServerMessage::TraceReport`] scrape
-/// the retained trace trees) and the ε-provenance audit
-/// ([`ClientMessage::BudgetAudit`] / [`ServerMessage::AuditReport`]).
-/// Version 4 added replicated serving — the peer frames
-/// [`ClientMessage::LogCatchup`] / [`ClientMessage::ReplicateAck`] /
-/// [`ClientMessage::PeerStatus`] / [`ServerMessage::Replicate`] /
-/// [`ServerMessage::PeerStatusReport`], the [`WireError::NotLeader`] /
-/// [`WireError::StaleReplica`] / [`WireError::LogDiverged`] refusals —
-/// plus the session-token handshake
-/// ([`ServerMessage::SessionAttached`] issues a token that later
-/// [`ClientMessage::Submit`] / [`ClientMessage::SubmitBatch`] /
-/// [`ClientMessage::BudgetAudit`] frames for that analyst must
-/// present) and version negotiation itself. Version 5 added the
-/// cluster observability plane: federated scrape
-/// ([`ClientMessage::ClusterStats`] /
-/// [`ServerMessage::ClusterStatsReport`] with per-replica
-/// [`WireReplicaStats`]), the health probe ([`ClientMessage::Health`] /
-/// [`ServerMessage::HealthReport`]) and live event streaming
-/// ([`ClientMessage::Watch`] / [`ServerMessage::Event`]).
+/// The one protocol version this build speaks. A `Hello` or `Welcome`
+/// carrying any other version is refused (see the module docs); change
+/// the number whenever the bytes of any frame change.
 pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Idempotency keys at or above this value are reserved for the
@@ -143,11 +106,6 @@ pub const PROTOCOL_VERSION: u16 = 5;
 /// [`WireError::InvalidRequest`]: a client key colliding with a derived
 /// key would alias another request's cached reply.
 pub const RESERVED_REQUEST_ID_BASE: u64 = 1 << 62;
-
-/// Oldest protocol version the handshake still accepts. Version 1 had
-/// no idempotency keys, so a v1 client could double-charge through a
-/// retry — below this floor the server refuses rather than downgrade.
-pub const MIN_PROTOCOL_VERSION: u16 = 2;
 
 /// A query as it travels the wire: names, exact ε bits, and the kind
 /// payload. Conversion to an engine [`Request`] validates ε.
@@ -616,11 +574,11 @@ pub enum ClientMessage {
         /// buffer, scrapeable via [`ClientMessage::Traces`]. `None`
         /// leaves the request untraced (zero overhead).
         trace_id: Option<u64>,
-        /// The session token [`ServerMessage::SessionAttached`] issued
-        /// (v4). Once a token exists for the analyst, submissions
-        /// without it — or with a stale one — are refused with
-        /// [`WireError::InvalidRequest`]. `None` on pre-v4 connections
-        /// and for sessions opened in-process.
+        /// The session token [`ServerMessage::SessionAttached`] issued.
+        /// Once a token exists for the analyst, submissions without it —
+        /// or with a stale one — are refused with
+        /// [`WireError::InvalidRequest`]. `None` for sessions opened
+        /// in-process.
         token: Option<u64>,
     },
     /// Submit several queries answered as one correlated batch (the
@@ -634,7 +592,7 @@ pub enum ClientMessage {
         /// The queries.
         requests: Vec<WireRequest>,
         /// The session token [`ServerMessage::SessionAttached`] issued
-        /// (v4) — required under the same rules as
+        /// — required under the same rules as
         /// [`ClientMessage::Submit`]'s; a batch charges the same budget
         /// a single submit does, so it passes the same gate.
         token: Option<u64>,
@@ -669,11 +627,11 @@ pub enum ClientMessage {
         id: u64,
         /// Whose ledger history.
         analyst: String,
-        /// The analyst's session token (v4) — required once one was
+        /// The analyst's session token — required once one was
         /// issued, like [`ClientMessage::Submit`]'s.
         token: Option<u64>,
     },
-    /// Replica peer frame (v4): a follower subscribes to the replicated
+    /// Replica peer frame: a follower subscribes to the replicated
     /// log starting at `from_index`, announcing the epoch it last saw.
     /// The leader replies with a stream of [`ServerMessage::Replicate`]
     /// frames (or [`WireError::NotLeader`] if it is not sequencing).
@@ -693,7 +651,7 @@ pub enum ClientMessage {
         /// back to its commit point before resubscribing.
         last_epoch: u64,
     },
-    /// Replica peer frame (v4): read-only probe of a peer's durable log
+    /// Replica peer frame: read-only probe of a peer's durable log
     /// position, answered by [`ServerMessage::PeerStatusReport`]
     /// regardless of the peer's role. A promotion candidate probes the
     /// surviving peers first: promoting a node whose durable log is
@@ -703,7 +661,7 @@ pub enum ClientMessage {
         /// Correlation id.
         id: u64,
     },
-    /// Replica peer frame (v4): the follower has made every entry up to
+    /// Replica peer frame: the follower has made every entry up to
     /// `index` durable in its own WAL. Acks are cumulative — entries
     /// arrive in order, so one ack covers the whole prefix.
     ReplicateAck {
@@ -715,7 +673,7 @@ pub enum ClientMessage {
         /// Durable log high-water mark on the follower.
         index: u64,
     },
-    /// Cluster-plane frame (v5): ask the serving node to fan a stats
+    /// Cluster-plane frame: ask the serving node to fan a stats
     /// probe to every configured peer over the peer port and merge the
     /// fleet's snapshots, each source qualified with a
     /// `replica="<node>"` label, answered by
@@ -726,7 +684,7 @@ pub enum ClientMessage {
         /// Correlation id.
         id: u64,
     },
-    /// Cluster-plane frame (v5): one cheap health probe suitable for a
+    /// Cluster-plane frame: one cheap health probe suitable for a
     /// load balancer — role, epoch, replication lag, WAL depth, queue
     /// depth, unreachable peers and the firing-SLO list, answered by
     /// [`ServerMessage::HealthReport`].
@@ -734,7 +692,7 @@ pub enum ClientMessage {
         /// Correlation id.
         id: u64,
     },
-    /// Cluster-plane frame (v5): subscribe this connection to the
+    /// Cluster-plane frame: subscribe this connection to the
     /// node's live event bus. The server pushes [`ServerMessage::Event`]
     /// frames echoing this correlation id until the client sends
     /// [`ClientMessage::Goodbye`] or disconnects. The subscription's
@@ -768,11 +726,11 @@ pub enum ServerMessage {
         id: u64,
         /// Remaining ε as bits (total minus durable spent).
         remaining_bits: u64,
-        /// Server-issued session token (v4): later
+        /// Server-issued session token: later
         /// [`ClientMessage::Submit`] / [`ClientMessage::BudgetAudit`]
         /// frames for this analyst must present it. Stable across
         /// reattaches of the same analyst within one server process;
-        /// `0` on pre-v4 connections (no token issued).
+        /// never `0`.
         token: u64,
     },
     /// A query's answer.
@@ -838,7 +796,7 @@ pub enum ServerMessage {
         /// [`ServerMessage::Answer`] does.
         trace_id: Option<u64>,
     },
-    /// Replica peer frame (v4): the leader streams log entries in index
+    /// Replica peer frame: the leader streams log entries in index
     /// order, piggybacking its current commit index — the quorum-durable
     /// prefix followers may execute. A frame may carry zero entries
     /// (a pure commit-index bump).
@@ -854,7 +812,7 @@ pub enum ServerMessage {
         /// New entries, in index order.
         entries: Vec<WireLogEntry>,
     },
-    /// Replica peer frame (v4): answer to [`ClientMessage::PeerStatus`]
+    /// Replica peer frame: answer to [`ClientMessage::PeerStatus`]
     /// — this peer's durable log position, served regardless of role so
     /// a promotion candidate can verify it holds the longest surviving
     /// log before fencing a new epoch.
@@ -868,7 +826,7 @@ pub enum ServerMessage {
         /// Largest index executed through the peer's engine.
         applied: u64,
     },
-    /// Cluster-plane frame (v5): answer to
+    /// Cluster-plane frame: answer to
     /// [`ClientMessage::ClusterStats`] — one [`WireReplicaStats`] per
     /// cluster member (the serving node first), each metric set
     /// already qualified with its source's `replica="<node>"` label.
@@ -879,7 +837,7 @@ pub enum ServerMessage {
         /// configured order.
         replicas: Vec<WireReplicaStats>,
     },
-    /// Cluster-plane frame (v5): answer to [`ClientMessage::Health`].
+    /// Cluster-plane frame: answer to [`ClientMessage::Health`].
     /// Gauges the probe reports (lag, applied) are refreshed from live
     /// node state at probe time, not from the last replication-stream
     /// receipt.
@@ -903,7 +861,7 @@ pub enum ServerMessage {
         /// Names of SLOs currently firing.
         firing: Vec<String>,
     },
-    /// Cluster-plane frame (v5): one live event pushed to a
+    /// Cluster-plane frame: one live event pushed to a
     /// [`ClientMessage::Watch`] subscription (`id` echoes the watch).
     Event {
         /// Correlation id of the subscribing `Watch`.
@@ -1767,15 +1725,8 @@ impl ClientMessage {
         }
     }
 
-    /// The payload bytes (no frame), at [`PROTOCOL_VERSION`].
+    /// The payload bytes (no frame).
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_for(PROTOCOL_VERSION)
-    }
-
-    /// The payload bytes at a negotiated `version`: fields the older
-    /// version never defined are simply omitted, so a downgraded
-    /// connection stays byte-compatible with a genuine old peer.
-    pub fn encode_for(&self, version: u16) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         match self {
             ClientMessage::Hello { id, version } => {
@@ -1808,12 +1759,8 @@ impl ClientMessage {
                 encode_request(&mut out, request);
                 put_opt_u64(&mut out, *request_id);
                 put_opt_u64(&mut out, *deadline_micros);
-                if version >= 3 {
-                    put_opt_u64(&mut out, *trace_id);
-                }
-                if version >= 4 {
-                    put_opt_u64(&mut out, *token);
-                }
+                put_opt_u64(&mut out, *trace_id);
+                put_opt_u64(&mut out, *token);
             }
             ClientMessage::SubmitBatch {
                 id,
@@ -1828,9 +1775,7 @@ impl ClientMessage {
                 for r in requests {
                     encode_request(&mut out, r);
                 }
-                if version >= 4 {
-                    put_opt_u64(&mut out, *token);
-                }
+                put_opt_u64(&mut out, *token);
             }
             ClientMessage::Budget { id, analyst } => {
                 out.push(TAG_BUDGET);
@@ -1849,9 +1794,7 @@ impl ClientMessage {
                 out.push(TAG_BUDGET_AUDIT);
                 put_u64(&mut out, *id);
                 put_str(&mut out, analyst);
-                if version >= 4 {
-                    put_opt_u64(&mut out, *token);
-                }
+                put_opt_u64(&mut out, *token);
             }
             ClientMessage::LogCatchup {
                 id,
@@ -1900,13 +1843,6 @@ impl ClientMessage {
     /// close — a framing layer that let damage through cannot be
     /// trusted).
     pub fn decode(payload: &[u8]) -> Option<ClientMessage> {
-        Self::decode_for(payload, PROTOCOL_VERSION)
-    }
-
-    /// Decodes at a negotiated `version`: fields the older version
-    /// never defined decode as absent, and frames the version did not
-    /// define at all are malformed.
-    pub fn decode_for(payload: &[u8], version: u16) -> Option<ClientMessage> {
         let mut r = Reader::new(payload);
         let msg = match r.u8()? {
             TAG_HELLO => ClientMessage::Hello {
@@ -1924,16 +1860,8 @@ impl ClientMessage {
                 request: decode_request(&mut r)?,
                 request_id: read_opt_u64(&mut r)?,
                 deadline_micros: read_opt_u64(&mut r)?,
-                trace_id: if version >= 3 {
-                    read_opt_u64(&mut r)?
-                } else {
-                    None
-                },
-                token: if version >= 4 {
-                    read_opt_u64(&mut r)?
-                } else {
-                    None
-                },
+                trace_id: read_opt_u64(&mut r)?,
+                token: read_opt_u64(&mut r)?,
             },
             TAG_SUBMIT_BATCH => {
                 let id = r.u64()?;
@@ -1950,11 +1878,7 @@ impl ClientMessage {
                     id,
                     analyst,
                     requests,
-                    token: if version >= 4 {
-                        read_opt_u64(&mut r)?
-                    } else {
-                        None
-                    },
+                    token: read_opt_u64(&mut r)?,
                 }
             }
             TAG_BUDGET => ClientMessage::Budget {
@@ -1966,27 +1890,23 @@ impl ClientMessage {
             TAG_BUDGET_AUDIT => ClientMessage::BudgetAudit {
                 id: r.u64()?,
                 analyst: r.str()?,
-                token: if version >= 4 {
-                    read_opt_u64(&mut r)?
-                } else {
-                    None
-                },
+                token: read_opt_u64(&mut r)?,
             },
-            TAG_LOG_CATCHUP if version >= 4 => ClientMessage::LogCatchup {
+            TAG_LOG_CATCHUP => ClientMessage::LogCatchup {
                 id: r.u64()?,
                 epoch: r.u64()?,
                 from_index: r.u64()?,
                 last_epoch: r.u64()?,
             },
-            TAG_REPLICATE_ACK if version >= 4 => ClientMessage::ReplicateAck {
+            TAG_REPLICATE_ACK => ClientMessage::ReplicateAck {
                 id: r.u64()?,
                 epoch: r.u64()?,
                 index: r.u64()?,
             },
-            TAG_PEER_STATUS if version >= 4 => ClientMessage::PeerStatus { id: r.u64()? },
-            TAG_CLUSTER_STATS if version >= 5 => ClientMessage::ClusterStats { id: r.u64()? },
-            TAG_HEALTH if version >= 5 => ClientMessage::Health { id: r.u64()? },
-            TAG_WATCH if version >= 5 => ClientMessage::Watch { id: r.u64()? },
+            TAG_PEER_STATUS => ClientMessage::PeerStatus { id: r.u64()? },
+            TAG_CLUSTER_STATS => ClientMessage::ClusterStats { id: r.u64()? },
+            TAG_HEALTH => ClientMessage::Health { id: r.u64()? },
+            TAG_WATCH => ClientMessage::Watch { id: r.u64()? },
             TAG_GOODBYE => ClientMessage::Goodbye { id: r.u64()? },
             _ => return None,
         };
@@ -2016,14 +1936,8 @@ impl ServerMessage {
         }
     }
 
-    /// The payload bytes (no frame), at [`PROTOCOL_VERSION`].
+    /// The payload bytes (no frame).
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_for(PROTOCOL_VERSION)
-    }
-
-    /// The payload bytes at a negotiated `version` (see
-    /// [`ClientMessage::encode_for`]).
-    pub fn encode_for(&self, version: u16) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         match self {
             ServerMessage::Welcome { id, version } => {
@@ -2039,9 +1953,7 @@ impl ServerMessage {
                 out.push(TAG_SESSION_ATTACHED);
                 put_u64(&mut out, *id);
                 put_u64(&mut out, *remaining_bits);
-                if version >= 4 {
-                    put_u64(&mut out, *token);
-                }
+                put_u64(&mut out, *token);
             }
             ServerMessage::Answer {
                 id,
@@ -2051,9 +1963,7 @@ impl ServerMessage {
                 out.push(TAG_ANSWER);
                 put_u64(&mut out, *id);
                 encode_response(&mut out, response);
-                if version >= 3 {
-                    put_opt_u64(&mut out, *trace_id);
-                }
+                put_opt_u64(&mut out, *trace_id);
             }
             ServerMessage::BatchAnswer { id, slots } => {
                 out.push(TAG_BATCH_ANSWER);
@@ -2118,9 +2028,7 @@ impl ServerMessage {
                 out.push(TAG_REFUSED);
                 put_u64(&mut out, *id);
                 encode_error(&mut out, error);
-                if version >= 3 {
-                    put_opt_u64(&mut out, *trace_id);
-                }
+                put_opt_u64(&mut out, *trace_id);
             }
             ServerMessage::Replicate {
                 id,
@@ -2220,12 +2128,6 @@ impl ServerMessage {
     /// Decodes a payload produced by [`ServerMessage::encode`]; `None`
     /// for anything malformed.
     pub fn decode(payload: &[u8]) -> Option<ServerMessage> {
-        Self::decode_for(payload, PROTOCOL_VERSION)
-    }
-
-    /// Decodes at a negotiated `version` (see
-    /// [`ClientMessage::decode_for`]).
-    pub fn decode_for(payload: &[u8], version: u16) -> Option<ServerMessage> {
         let mut r = Reader::new(payload);
         let msg = match r.u8()? {
             TAG_WELCOME => ServerMessage::Welcome {
@@ -2235,16 +2137,12 @@ impl ServerMessage {
             TAG_SESSION_ATTACHED => ServerMessage::SessionAttached {
                 id: r.u64()?,
                 remaining_bits: r.u64()?,
-                token: if version >= 4 { r.u64()? } else { 0 },
+                token: r.u64()?,
             },
             TAG_ANSWER => ServerMessage::Answer {
                 id: r.u64()?,
                 response: decode_response(&mut r)?,
-                trace_id: if version >= 3 {
-                    read_opt_u64(&mut r)?
-                } else {
-                    None
-                },
+                trace_id: read_opt_u64(&mut r)?,
             },
             TAG_BATCH_ANSWER => {
                 let id = r.u64()?;
@@ -2308,13 +2206,9 @@ impl ServerMessage {
             TAG_REFUSED => ServerMessage::Refused {
                 id: r.u64()?,
                 error: decode_error(&mut r)?,
-                trace_id: if version >= 3 {
-                    read_opt_u64(&mut r)?
-                } else {
-                    None
-                },
+                trace_id: read_opt_u64(&mut r)?,
             },
-            TAG_REPLICATE if version >= 4 => {
+            TAG_REPLICATE => {
                 let id = r.u64()?;
                 let epoch = r.u64()?;
                 let commit_index = r.u64()?;
@@ -2333,13 +2227,13 @@ impl ServerMessage {
                     entries,
                 }
             }
-            TAG_PEER_STATUS_REPORT if version >= 4 => ServerMessage::PeerStatusReport {
+            TAG_PEER_STATUS_REPORT => ServerMessage::PeerStatusReport {
                 id: r.u64()?,
                 epoch: r.u64()?,
                 high_water: r.u64()?,
                 applied: r.u64()?,
             },
-            TAG_CLUSTER_STATS_REPORT if version >= 5 => {
+            TAG_CLUSTER_STATS_REPORT => {
                 let id = r.u64()?;
                 let n = r.u64()?;
                 if n > bf_store::MAX_RECORD_LEN as u64 {
@@ -2369,7 +2263,7 @@ impl ServerMessage {
                 }
                 ServerMessage::ClusterStatsReport { id, replicas }
             }
-            TAG_HEALTH_REPORT if version >= 5 => {
+            TAG_HEALTH_REPORT => {
                 let id = r.u64()?;
                 let role = r.str()?;
                 let epoch = r.u64()?;
@@ -2405,7 +2299,7 @@ impl ServerMessage {
                     firing,
                 }
             }
-            TAG_EVENT if version >= 5 => ServerMessage::Event {
+            TAG_EVENT => ServerMessage::Event {
                 id: r.u64()?,
                 seq: r.u64()?,
                 kind: match r.u8()? {
@@ -2805,48 +2699,6 @@ mod tests {
         }
     }
 
-    /// What a message looks like after crossing a connection negotiated
-    /// down to `version`: fields the version never defined are lost.
-    fn downgrade_client(msg: &ClientMessage, version: u16) -> ClientMessage {
-        let mut m = msg.clone();
-        match &mut m {
-            ClientMessage::Submit {
-                trace_id, token, ..
-            } => {
-                if version < 3 {
-                    *trace_id = None;
-                }
-                if version < 4 {
-                    *token = None;
-                }
-            }
-            ClientMessage::BudgetAudit { token, .. } if version < 4 => {
-                *token = None;
-            }
-            ClientMessage::SubmitBatch { token, .. } if version < 4 => {
-                *token = None;
-            }
-            _ => {}
-        }
-        m
-    }
-
-    fn downgrade_server(msg: &ServerMessage, version: u16) -> ServerMessage {
-        let mut m = msg.clone();
-        match &mut m {
-            ServerMessage::SessionAttached { token, .. } if version < 4 => {
-                *token = 0;
-            }
-            ServerMessage::Answer { trace_id, .. } | ServerMessage::Refused { trace_id, .. }
-                if version < 3 =>
-            {
-                *trace_id = None;
-            }
-            _ => {}
-        }
-        m
-    }
-
     proptest! {
         /// Every client message round-trips encode → decode exactly.
         #[test]
@@ -2862,57 +2714,6 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let msg = arb_server_message(&mut rng);
             prop_assert_eq!(ServerMessage::decode(&msg.encode()), Some(msg));
-        }
-
-        /// The negotiation path: at every supported version, a message
-        /// round-trips to its *downgraded* self — optional fields the
-        /// version never defined are dropped, never garbled — and
-        /// frames the version did not define at all refuse to decode.
-        #[test]
-        fn versioned_round_trips_downgrade_optional_fields(seed in 0u64..512) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let cm = arb_client_message(&mut rng);
-            let sm = arb_server_message(&mut rng);
-            for v in MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION {
-                let peer_only = matches!(
-                    cm,
-                    ClientMessage::LogCatchup { .. }
-                        | ClientMessage::ReplicateAck { .. }
-                        | ClientMessage::PeerStatus { .. }
-                );
-                let cluster_only = matches!(
-                    cm,
-                    ClientMessage::ClusterStats { .. }
-                        | ClientMessage::Health { .. }
-                        | ClientMessage::Watch { .. }
-                );
-                if (v < 4 && peer_only) || (v < 5 && cluster_only) {
-                    prop_assert_eq!(ClientMessage::decode_for(&cm.encode_for(v), v), None);
-                } else {
-                    prop_assert_eq!(
-                        ClientMessage::decode_for(&cm.encode_for(v), v),
-                        Some(downgrade_client(&cm, v))
-                    );
-                }
-                let sm_peer_only = matches!(
-                    sm,
-                    ServerMessage::Replicate { .. } | ServerMessage::PeerStatusReport { .. }
-                );
-                let sm_cluster_only = matches!(
-                    sm,
-                    ServerMessage::ClusterStatsReport { .. }
-                        | ServerMessage::HealthReport { .. }
-                        | ServerMessage::Event { .. }
-                );
-                if (v < 4 && sm_peer_only) || (v < 5 && sm_cluster_only) {
-                    prop_assert_eq!(ServerMessage::decode_for(&sm.encode_for(v), v), None);
-                } else {
-                    prop_assert_eq!(
-                        ServerMessage::decode_for(&sm.encode_for(v), v),
-                        Some(downgrade_server(&sm, v))
-                    );
-                }
-            }
         }
 
         /// Log operations round-trip standalone — the encoding a
@@ -2947,6 +2748,23 @@ mod tests {
         }
     }
 
+    /// The golden wire digest: FNV-1a over the framed `encode()` bytes of
+    /// the 512 seeded client and server messages the round-trip tests
+    /// draw. The constant was recorded from a known-good encoder; a
+    /// change here means the bytes on the wire moved, and every deployed
+    /// peer would stop understanding this build.
+    #[test]
+    fn golden_wire_digest() {
+        let mut wire = Vec::new();
+        for seed in 0..512 {
+            let client = arb_client_message(&mut StdRng::seed_from_u64(seed));
+            let server = arb_server_message(&mut StdRng::seed_from_u64(seed));
+            wire.extend(frame_bytes(&client.encode()));
+            wire.extend(frame_bytes(&server.encode()));
+        }
+        assert_eq!(bf_store::fnv1a(&wire), 0x12a4_ce4f_ae68_a32b);
+    }
+
     /// Trailing garbage after a well-formed message must not decode.
     #[test]
     fn trailing_garbage_is_rejected() {
@@ -2968,15 +2786,10 @@ mod tests {
     fn single_byte_flips_never_misparse() {
         let mut rng = StdRng::seed_from_u64(0xF1F1);
         for case in 0..32 {
-            // Cycle through every negotiated version so the downgraded
-            // encodings get the same corruption coverage as the native
-            // one.
-            let version = MIN_PROTOCOL_VERSION
-                + (case as u16 / 2) % (PROTOCOL_VERSION - MIN_PROTOCOL_VERSION + 1);
             let payload = if case % 2 == 0 {
-                arb_client_message(&mut rng).encode_for(version)
+                arb_client_message(&mut rng).encode()
             } else {
-                arb_server_message(&mut rng).encode_for(version)
+                arb_server_message(&mut rng).encode()
             };
             let framed = frame_bytes(&payload);
             for pos in 0..framed.len() {

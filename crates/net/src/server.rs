@@ -2,7 +2,7 @@
 
 use crate::proto::{
     ClientMessage, ServerMessage, WireError, WireEventKind, WireMetric, WireReplicaStats,
-    WireResponse, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    WireResponse, PROTOCOL_VERSION,
 };
 use bf_obs::{
     BusSubscriber, ClusterEventKind, Counter, Histogram, MetricSnapshot, Registry, SloEngine,
@@ -500,11 +500,6 @@ struct Connection<'a> {
     counters: &'a NetCounters,
     buf: Vec<u8>,
     hello_done: bool,
-    /// The protocol version negotiated at `Hello`: the minimum of the
-    /// client's and ours, at least [`MIN_PROTOCOL_VERSION`]. Every
-    /// frame on this connection encodes and decodes at this version, so
-    /// a v2/v3 client sees exactly the wire format it shipped with.
-    negotiated: u16,
     goodbye: Option<u64>,
     /// Analysts whose sessions this connection attached via
     /// `OpenSession`. `BudgetAudit` — per-record labels and exact ε
@@ -551,7 +546,6 @@ impl<'a> Connection<'a> {
             counters: &shared.counters,
             buf: Vec::new(),
             hello_done: false,
-            negotiated: PROTOCOL_VERSION,
             goodbye: None,
             attached: HashSet::new(),
             tokens: &shared.tokens,
@@ -664,7 +658,7 @@ impl<'a> Connection<'a> {
                     FrameRead::Complete { payload, consumed } => {
                         self.counters.frames_in.inc();
                         let mut span = self.counters.obs.span();
-                        let msg = ClientMessage::decode_for(payload, self.negotiated);
+                        let msg = ClientMessage::decode(payload);
                         self.counters.obs.span_mark(&mut span, Stage::Decode);
                         let decode_elapsed = span.elapsed().unwrap_or_default();
                         self.buf.drain(..consumed);
@@ -737,26 +731,21 @@ impl<'a> Connection<'a> {
                     });
                     return false;
                 }
-                if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+                if version != PROTOCOL_VERSION {
+                    self.counters.protocol_errors.inc();
                     let _ = self.write_message(&ServerMessage::Refused {
                         id,
                         error: WireError::Protocol(format!(
-                            "version mismatch: server speaks \
-                             {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}, client {version}"
+                            "version mismatch: server speaks {PROTOCOL_VERSION}, client {version}"
                         )),
                         trace_id: None,
                     });
                     return false;
                 }
-                // Negotiate down to the client's version: every later
-                // frame on this connection speaks it, so optional v3/v4
-                // fields (trace ids, session tokens) are simply absent
-                // rather than misparsed.
-                self.negotiated = version.min(PROTOCOL_VERSION);
                 self.hello_done = true;
                 self.write_message(&ServerMessage::Welcome {
                     id,
-                    version: self.negotiated,
+                    version: PROTOCOL_VERSION,
                 })
                 .is_ok()
             }
@@ -1082,8 +1071,8 @@ impl<'a> Connection<'a> {
                 // analyst's session — reattaching requires the
                 // session's original ε total, so a stranger on the
                 // same port cannot walk another analyst's history —
-                // and, on a v4 connection, presented the session token
-                // the attach handed back.
+                // and presented the session token the attach handed
+                // back.
                 let reply = if !self.attached.contains(&analyst) {
                     ServerMessage::Refused {
                         id,
@@ -1148,14 +1137,10 @@ impl<'a> Connection<'a> {
     }
 
     /// Refuses a request that should have presented `analyst`'s session
-    /// token but didn't (or presented a stale/forged one). Enforced only
-    /// on v4 connections (older clients have no token field — rolling
-    /// upgrades keep working) and only once a wire `OpenSession` issued
-    /// a token for the analyst; sessions opened in-process are exempt.
+    /// token but didn't (or presented a stale/forged one). Enforced once
+    /// a wire `OpenSession` issued a token for the analyst; sessions
+    /// opened in-process are exempt.
     fn token_refusal(&self, analyst: &str, presented: Option<u64>) -> Option<WireError> {
-        if self.negotiated < 4 {
-            return None;
-        }
         let expected = self
             .tokens
             .lock()
@@ -1399,7 +1384,7 @@ impl<'a> Connection<'a> {
     }
 
     fn write_message(&mut self, msg: &ServerMessage) -> std::io::Result<()> {
-        let mut payload = msg.encode_for(self.negotiated);
+        let mut payload = msg.encode();
         if payload.len() > bf_store::MAX_RECORD_LEN as usize {
             // The client would reject a longer frame as corrupt and drop
             // the connection; refuse this one request instead.
@@ -1411,7 +1396,7 @@ impl<'a> Connection<'a> {
                 },
                 trace_id: None,
             }
-            .encode_for(self.negotiated);
+            .encode();
         }
         // The chaos plan's op clock ticks once per **answer** frame, so a
         // scripted schedule addresses "the 3rd answer" no matter how many

@@ -706,9 +706,12 @@ impl Node {
         let _ = stream.set_read_timeout(Some(POLL));
         let mut buf: Vec<u8> = Vec::new();
 
-        // Handshake: peers always speak the current protocol.
+        // Handshake: peers speak exactly this build's protocol.
         let hello = match self.read_peer_frame(&mut stream, &mut buf, true) {
-            Some(ClientMessage::Hello { id, version }) if version >= PROTOCOL_VERSION => {
+            Some(ClientMessage::Hello {
+                id,
+                version: PROTOCOL_VERSION,
+            }) => {
                 let _ = write_frame(
                     &mut stream,
                     &ServerMessage::Welcome {
@@ -1014,23 +1017,7 @@ impl Node {
     /// One streaming session against the leader at `target`. Returns
     /// `None` when the session ended abnormally (caller backs off).
     fn follow_once(self: &Arc<Node>, target: SocketAddr, generation: u64) -> Option<()> {
-        let mut stream = TcpStream::connect_timeout(&target, Duration::from_millis(500)).ok()?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(WAIT));
-        let mut buf: Vec<u8> = Vec::new();
-
-        write_frame(
-            &mut stream,
-            &ClientMessage::Hello {
-                id: 1,
-                version: PROTOCOL_VERSION,
-            },
-        )
-        .ok()?;
-        match self.read_peer_server_frame(&mut stream, &mut buf)? {
-            ServerMessage::Welcome { .. } => {}
-            _ => return None,
-        }
+        let (mut stream, mut buf) = self.dial_peer(target, WAIT)?;
         let (epoch, from_index, last_epoch) = {
             let st = self.state.lock().unwrap();
             (st.epoch, st.high_water() + 1, st.last_epoch)
@@ -1155,14 +1142,14 @@ impl Node {
         }
     }
 
-    /// Asks the peer at `addr` for its `(epoch, high_water, applied)`.
-    /// `None` means unreachable, dead, or not speaking the protocol —
-    /// [`Replica::promote_over`] treats all three as "not a survivor".
-    fn probe_peer(&self, addr: SocketAddr) -> Option<(u64, u64, u64)> {
+    /// Dials the peer port at `addr` and runs the handshake; reads wait
+    /// at most `read_timeout`. `None` when the peer is unreachable or
+    /// does not speak exactly [`PROTOCOL_VERSION`].
+    fn dial_peer(&self, addr: SocketAddr, read_timeout: Duration) -> Option<(TcpStream, Vec<u8>)> {
         let mut stream = TcpStream::connect_timeout(&addr, Duration::from_millis(500)).ok()?;
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        let mut buf: Vec<u8> = Vec::new();
+        let _ = stream.set_read_timeout(Some(read_timeout));
+        let mut buf = Vec::new();
         write_frame(
             &mut stream,
             &ClientMessage::Hello {
@@ -1172,9 +1159,19 @@ impl Node {
         )
         .ok()?;
         match self.read_peer_server_frame(&mut stream, &mut buf)? {
-            ServerMessage::Welcome { .. } => {}
-            _ => return None,
+            ServerMessage::Welcome {
+                version: PROTOCOL_VERSION,
+                ..
+            } => Some((stream, buf)),
+            _ => None,
         }
+    }
+
+    /// Asks the peer at `addr` for its `(epoch, high_water, applied)`.
+    /// `None` means unreachable, dead, or not speaking the protocol —
+    /// [`Replica::promote_over`] treats all three as "not a survivor".
+    fn probe_peer(&self, addr: SocketAddr) -> Option<(u64, u64, u64)> {
+        let (mut stream, mut buf) = self.dial_peer(addr, Duration::from_millis(500))?;
         write_frame(&mut stream, &ClientMessage::PeerStatus { id: 2 }).ok()?;
         match self.read_peer_server_frame(&mut stream, &mut buf)? {
             ServerMessage::PeerStatusReport {
@@ -1192,22 +1189,7 @@ impl Node {
     /// federated scrape reports the member as such instead of failing
     /// the whole fan-out.
     fn scrape_peer(&self, addr: SocketAddr) -> Option<Vec<MetricSnapshot>> {
-        let mut stream = TcpStream::connect_timeout(&addr, Duration::from_millis(500)).ok()?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        let mut buf: Vec<u8> = Vec::new();
-        write_frame(
-            &mut stream,
-            &ClientMessage::Hello {
-                id: 1,
-                version: PROTOCOL_VERSION,
-            },
-        )
-        .ok()?;
-        match self.read_peer_server_frame(&mut stream, &mut buf)? {
-            ServerMessage::Welcome { .. } => {}
-            _ => return None,
-        }
+        let (mut stream, mut buf) = self.dial_peer(addr, Duration::from_millis(500))?;
         write_frame(&mut stream, &ClientMessage::Stats { id: 2 }).ok()?;
         match self.read_peer_server_frame(&mut stream, &mut buf)? {
             ServerMessage::StatsReport { metrics, .. } => {
@@ -1698,6 +1680,35 @@ mod tests {
         // The write bypassed the scheduler: replication sequenced it.
         assert_eq!(r.node.engine.obs().gauge("replica_log_index").get(), 2.0);
         client.goodbye().unwrap();
+        r.shutdown().unwrap();
+    }
+
+    #[test]
+    fn peer_port_accepts_only_the_exact_protocol_version() {
+        let r = replica(
+            "replica-peer-version",
+            ReplicaConfig {
+                seed: 23,
+                ..ReplicaConfig::default()
+            },
+        );
+        for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION, PROTOCOL_VERSION + 1] {
+            let mut stream = TcpStream::connect(r.peer_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            write_frame(&mut stream, &ClientMessage::Hello { id: 1, version }).unwrap();
+            match r.node.read_peer_server_frame(&mut stream, &mut Vec::new()) {
+                Some(ServerMessage::Welcome { version: v, .. }) if version == PROTOCOL_VERSION => {
+                    assert_eq!(v, PROTOCOL_VERSION)
+                }
+                Some(ServerMessage::Refused {
+                    error: WireError::Protocol(_),
+                    ..
+                }) if version != PROTOCOL_VERSION => {}
+                other => panic!("peer Hello v{version}: got {other:?}"),
+            }
+        }
         r.shutdown().unwrap();
     }
 
